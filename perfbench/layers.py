@@ -4,9 +4,10 @@ Each layer reports the self time of its spans as a share of the traced
 wall time, a per-call cost where the layer has one, and the host-independent
 work counts recorded at the same boundaries.  A layer a workload does not
 exercise reports zero calls, zero time and zero counts.  The shares of all
-layers plus ``other.self_share`` (time inside the traced call that no span
-covers: result building, teardown, the asyncio loop and the gateway's own
-code) add up to 1.
+layers plus the time no span covers add up to 1.  On the simulators that
+remainder is ``other.self_share`` (result building around the kernel).  On
+the gateway it is ``gw.self_share``: the gateway's own code, the asyncio
+loop and the decode steps after the first.
 """
 
 from __future__ import annotations
