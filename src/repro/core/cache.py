@@ -28,7 +28,6 @@ Pinning protects the states of in-flight requests between begin and close.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 import numpy as np
@@ -89,18 +88,6 @@ class MarconiSession(RequestSession):
         self.rolled_back: bool = False
 
 
-@dataclass
-class MarconiCacheConfig:
-    """Tunables for :class:`MarconiCache` beyond model and capacity."""
-
-    eviction: str = "flop_aware"
-    alpha: Optional[float] = None  # None => bootstrap auto-tuning
-    tuner: AlphaTunerConfig = field(default_factory=AlphaTunerConfig)
-    store_states: bool = False
-    use_eviction_index: bool = True
-    batch_evictions: int = 1
-
-
 class MarconiCache(PrefixCache):
     """Prefix cache for hybrid (and pure) LLMs with Marconi's policies.
 
@@ -132,11 +119,6 @@ class MarconiCache(PrefixCache):
         behaviour of a full-tree rescan (kept as the reference
         implementation and for the microbenchmark's baseline).  Both modes
         make identical eviction decisions.
-    batch_evictions:
-        FLOP-aware batch size K: victims freed per rank-normalization pass
-        within one eviction episode.  ``1`` (the default) renormalizes
-        before every victim — the paper's exact semantics; larger values
-        amortize the O(c·log c) normalization under sustained pressure.
     """
 
     def __init__(
@@ -150,12 +132,9 @@ class MarconiCache(PrefixCache):
         store_states: bool = False,
         efficiency_mode: str = "prefix_per_freed",
         use_eviction_index: bool = True,
-        batch_evictions: int = 1,
     ) -> None:
         if capacity_bytes <= 0:
             raise ValueError(f"capacity_bytes must be positive, got {capacity_bytes}")
-        if batch_evictions < 1:
-            raise ValueError(f"batch_evictions must be >= 1, got {batch_evictions}")
         self.model = model
         self._capacity = int(capacity_bytes)
         self._eviction_name = eviction
@@ -164,7 +143,6 @@ class MarconiCache(PrefixCache):
         self.efficiency_mode = efficiency_mode
         self._tuner_config = tuner_config or AlphaTunerConfig()
         self._use_index = use_eviction_index
-        self._batch_evictions = batch_evictions
 
         # Per-model byte constants, bound once: the eviction index refreshes
         # candidates on every tree mutation, and each refresh needs both.
@@ -184,13 +162,9 @@ class MarconiCache(PrefixCache):
         if self._eviction_name == "flop_aware" and self._fixed_alpha is None:
             # Auto-tuning mode: behave as LRU (alpha = 0) until tuned.
             self.tuner = AlphaTuner(self._tuner_config)
-            policy = FlopAwareEviction(alpha=0.0)
-        else:
-            self.tuner = None
-            policy = make_eviction_policy(self._eviction_name, self._fixed_alpha)
-        if isinstance(policy, FlopAwareEviction):
-            policy.batch_size = self._batch_evictions
-        return policy
+            return FlopAwareEviction(alpha=0.0)
+        self.tuner = None
+        return make_eviction_policy(self._eviction_name, self._fixed_alpha)
 
     # ------------------------------------------------------------------
     # Tree attachment (keeps the eviction index observing the live tree)
@@ -208,7 +182,7 @@ class MarconiCache(PrefixCache):
         re-binds the policy's selector state.
         """
         if self._index is not None:
-            self._tree.remove_observer(self._index)
+            self._index.detach()
         self._tree = tree
         if self._use_index:
             self._index = EvictionIndex(
@@ -650,7 +624,6 @@ class MarconiCache(PrefixCache):
         if capacity - self._used >= needed_bytes:
             return True
         policy = self.policy
-        policy.begin_eviction_pass()
         index = self._index
         tree = self._tree
         stats = self._stats
@@ -711,10 +684,10 @@ class MarconiCache(PrefixCache):
     def make_replay_cache(self, alpha: float, snapshot: RadixTree) -> "MarconiCache":
         """A throwaway cache seeded from ``snapshot`` with a fixed alpha.
 
-        The replica inherits the eviction-index mode (and FLOP-aware batch
-        size), so the tuner's grid-search replay pays incremental — not
-        full-rescan — eviction costs per alpha; assigning the cloned tree
-        re-seeds the replica's index in one scan.
+        The replica inherits the eviction-index mode, so the tuner's
+        grid-search replay pays incremental — not full-rescan — eviction
+        costs per alpha; assigning the cloned tree re-seeds the replica's
+        index in one scan.
         """
         replica = MarconiCache(
             self.model,
@@ -724,7 +697,6 @@ class MarconiCache(PrefixCache):
             store_states=False,
             efficiency_mode=self.efficiency_mode,
             use_eviction_index=self._use_index,
-            batch_evictions=self._batch_evictions,
         )
         replica.tree = snapshot.clone()
         replica._used = sum(

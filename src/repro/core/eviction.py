@@ -19,10 +19,12 @@ from __future__ import annotations
 import abc
 import heapq
 import itertools
+import math
 import random
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.node import RadixNode
 
@@ -63,7 +65,8 @@ class EvictionPolicy(abc.ABC):
       :class:`~repro.core.eviction_index.EvictionIndex`.  The base
       implementation scores the index's cached candidate snapshot;
       heap-backed subclasses keep a lazy min-heap synced to the index and
-      select in amortized O(log n) without touching the candidate set.
+      select in amortized O(log n) without touching the candidate set, and
+      the FLOP-aware policy keeps two sorted mirrors of it.
     """
 
     name: str = "abstract"
@@ -73,21 +76,29 @@ class EvictionPolicy(abc.ABC):
         """Pick the next victim from a non-empty candidate list."""
 
     def bind_index(self, index: "EvictionIndex") -> None:
-        """Attach to ``index``; subscribes heap selectors to its change feed.
+        """Attach to ``index``; subscribes selector state to its change feed.
 
-        Policies that never overrode :meth:`on_candidate_changed` leave the
-        feed unset so the index skips the callback on the refresh hot path.
+        A hook the policy never overrode stays unset on the index, so the
+        index skips that callback on the refresh hot path.
         """
-        if type(self).on_candidate_changed is EvictionPolicy.on_candidate_changed:
-            index.on_candidate_changed = None
-        else:
-            index.on_candidate_changed = self.on_candidate_changed
+        cls = type(self)
+        index.on_candidate_changed = (
+            None
+            if cls.on_candidate_changed is EvictionPolicy.on_candidate_changed
+            else self.on_candidate_changed
+        )
+        index.on_candidate_removed = (
+            None
+            if cls.on_candidate_removed is EvictionPolicy.on_candidate_removed
+            else self.on_candidate_removed
+        )
 
     def on_candidate_changed(self, candidate: EvictionCandidate) -> None:
         """Called by the bound index when a candidate is added or rebuilt."""
 
-    def begin_eviction_pass(self) -> None:
-        """Called at the start of one eviction episode (one ``_ensure_free``)."""
+    def on_candidate_removed(self, candidate: EvictionCandidate) -> None:
+        """Called by the bound index when a candidate leaves the set or is
+        superseded by a rebuilt one (before the rebuilt one is reported)."""
 
     def select_from_index(self, index: "EvictionIndex") -> EvictionCandidate:
         """Pick the next victim using the maintained candidate index."""
@@ -171,54 +182,47 @@ class LRUEviction(_LazyHeapPolicy):
 class FlopAwareEviction(EvictionPolicy):
     """Marconi's utility score: ``S(n) = recency(n) + alpha * flop_efficiency(n)``.
 
-    Both terms are min-max normalized over the current candidate set to
-    (0, 1), matching the paper's "normalized ... by comparing all nodes'
-    last-accessed timestamps and FLOP saved/byte in the radix tree".
-    ``alpha = 0`` degenerates to LRU; a large ``alpha`` ranks purely by
-    compute saved per byte.  ``alpha`` is mutable so the bootstrap tuner can
-    adopt the grid-search winner in place.
+    Both terms are rank-normalized over the current candidate set into
+    (0, 1] (tie-averaged, see :func:`_rank_normalize`), the reading of the
+    paper's "normalized ... by comparing all nodes' last-accessed timestamps
+    and FLOP saved/byte in the radix tree".  ``alpha = 0`` degenerates to
+    LRU; a large ``alpha`` ranks purely by compute saved per byte.
+    ``alpha`` is mutable so the bootstrap tuner can adopt the grid-search
+    winner in place.
 
-    Normalization is relative to the *whole* candidate set, so this policy
-    cannot be heap-backed without changing semantics.  Instead,
-    :meth:`select_from_index` scores the index's maintained candidate
-    snapshot and caches the resulting eviction order until the index's dirty
-    epoch advances.  ``batch_size`` (K) additionally amortizes the
-    normalization: within one eviction pass, up to K victims are taken from
-    a single scored order, each re-validated against the index before use.
-    ``batch_size = 1`` (the default) renormalizes before every victim and is
-    decision-identical to the seed full-rescan implementation.
+    Normalization is relative to the *whole* candidate set, so a victim
+    cannot come off a heap.  :meth:`select_from_index` instead keeps two
+    orders mirrored from the bound index's change feed — candidates sorted
+    by ``sort_key`` (recency, then node id) and the sorted multiset of
+    their FLOP efficiencies — and scores only the Pareto staircase of
+    (recency, efficiency): a candidate earlier in ``sort_key`` order with
+    no higher efficiency than another has a lower-or-equal score and wins
+    the tie-break, so the other can never win.  Its decisions are identical
+    to :meth:`select_victim`, the full rescoring kept as the reference.
     """
 
     name = "flop_aware"
 
-    def __init__(
-        self,
-        alpha: float = 1.0,
-        normalization: str = "rank",
-        batch_size: int = 1,
-    ) -> None:
+    def __init__(self, alpha: float = 1.0) -> None:
         if alpha < 0:
             raise ValueError(f"alpha must be non-negative, got {alpha}")
-        if normalization not in ("rank", "minmax"):
-            raise ValueError(f"normalization must be 'rank' or 'minmax', got {normalization!r}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.alpha = alpha
-        self.normalization = normalization
-        self.batch_size = batch_size
-        self._order: deque[EvictionCandidate] = deque()
-        self._order_epoch: Optional[int] = None
-        self._order_budget = 0
-
-    def _normalized(self, values: list[float]) -> list[float]:
-        if self.normalization == "rank":
-            return _rank_normalize(values)
-        return [_min_max_normalize(v, values) for v in values]
+        # Mirrors of the bound index: three parallel lists in ``sort_key``
+        # order (candidates, their sort keys, their efficiencies), and the
+        # same efficiencies in ascending order.
+        self._recency: list[EvictionCandidate] = []
+        self._recency_keys: list[tuple[float, int]] = []
+        self._recency_efficiencies: list[float] = []
+        self._efficiencies: list[float] = []
+        # Work counters of select_from_index: candidate-set sizes summed
+        # over selections, and candidates actually scored.
+        self.candidates_offered = 0
+        self.candidates_scored = 0
 
     def scores(self, candidates: list[EvictionCandidate]) -> list[float]:
         """Utility score of every candidate against the candidate set."""
-        recency = self._normalized([c.last_access for c in candidates])
-        efficiency = self._normalized([c.flop_efficiency for c in candidates])
+        recency = _rank_normalize([c.last_access for c in candidates])
+        efficiency = _rank_normalize([c.flop_efficiency for c in candidates])
         return [r + self.alpha * e for r, e in zip(recency, efficiency)]
 
     def select_victim(self, candidates: list[EvictionCandidate]) -> EvictionCandidate:
@@ -228,41 +232,39 @@ class FlopAwareEviction(EvictionPolicy):
         if n == 1:
             return candidates[0]
         alpha = self.alpha
-        if self.normalization == "rank":
-            # Inlined tie-averaged rank scoring: candidate sets under real
-            # pressure are tiny (median ~3), so per-call overhead dominates
-            # — one flat pass per term, scores accumulated in place, same
-            # float expressions as :func:`_rank_normalize` term by term.
-            la = [c.last_access for c in candidates]
-            scores = [0.0] * n
-            order = sorted(range(n), key=la.__getitem__)
-            i = 0
-            while i < n:
-                j = i
-                vi = la[order[i]]
-                while j + 1 < n and la[order[j + 1]] == vi:
-                    j += 1
-                r = ((i + j) / 2.0 + 1.0) / n
-                for k in range(i, j + 1):
-                    scores[order[k]] = r
-                i = j + 1
-            fe = [c.flop_efficiency for c in candidates]
-            order = sorted(range(n), key=fe.__getitem__)
-            i = 0
-            while i < n:
-                j = i
-                vi = fe[order[i]]
-                while j + 1 < n and fe[order[j + 1]] == vi:
-                    j += 1
-                ae = alpha * (((i + j) / 2.0 + 1.0) / n)
-                for k in range(i, j + 1):
-                    ki = order[k]
-                    scores[ki] = scores[ki] + ae
-                i = j + 1
-        else:
-            recency = self._normalized([c.last_access for c in candidates])
-            efficiency = self._normalized([c.flop_efficiency for c in candidates])
-            scores = [r + alpha * e for r, e in zip(recency, efficiency)]
+        # Inlined tie-averaged rank scoring: one flat pass per term, scores
+        # accumulated in place, same float expressions as
+        # :func:`_rank_normalize` term by term.  This full rescoring is the
+        # legacy full-scan mode's selector and the reference
+        # :meth:`select_from_index` must agree with; under agent-style
+        # pressure sets are not small (median 46 candidates on swebench),
+        # which is why the indexed path walks the staircase instead.
+        la = [c.last_access for c in candidates]
+        scores = [0.0] * n
+        order = sorted(range(n), key=la.__getitem__)
+        i = 0
+        while i < n:
+            j = i
+            vi = la[order[i]]
+            while j + 1 < n and la[order[j + 1]] == vi:
+                j += 1
+            r = ((i + j) / 2.0 + 1.0) / n
+            for k in range(i, j + 1):
+                scores[order[k]] = r
+            i = j + 1
+        fe = [c.flop_efficiency for c in candidates]
+        order = sorted(range(n), key=fe.__getitem__)
+        i = 0
+        while i < n:
+            j = i
+            vi = fe[order[i]]
+            while j + 1 < n and fe[order[j + 1]] == vi:
+                j += 1
+            ae = alpha * (((i + j) / 2.0 + 1.0) / n)
+            for k in range(i, j + 1):
+                ki = order[k]
+                scores[ki] = scores[ki] + ae
+            i = j + 1
         # Fused min over (score, sort_key); sort_key ties are impossible
         # (node ids are unique), so the order is total.
         best = candidates[0]
@@ -282,60 +284,92 @@ class FlopAwareEviction(EvictionPolicy):
                     best_key = candidate.sort_key
         return best
 
-    def begin_eviction_pass(self) -> None:
-        # Never carry a scored order across pressure episodes: requests may
-        # have touched/admitted entries in between.
-        self._order.clear()
-        self._order_epoch = None
+    # ------------------------------------------------------------------
+    # Mirrored orders, fed by the bound index
+    # ------------------------------------------------------------------
+    def bind_index(self, index: "EvictionIndex") -> None:
+        super().bind_index(index)
+        ordered = sorted(index.candidates(), key=lambda c: c.sort_key)
+        self._recency = ordered
+        self._recency_keys = [c.sort_key for c in ordered]
+        self._recency_efficiencies = [c.flop_efficiency for c in ordered]
+        self._efficiencies = sorted(self._recency_efficiencies)
 
-    def _rebuild_order(self, index: "EvictionIndex") -> None:
-        candidates = index.candidates()
-        if not candidates:
-            raise ValueError("no eviction candidates")
-        scores = self.scores(candidates)
-        ranked = sorted(
-            range(len(candidates)),
-            key=lambda i: (scores[i], candidates[i].sort_key),
-        )
-        self._order = deque(candidates[i] for i in ranked)
-        self._order_epoch = index.epoch
-        self._order_budget = self.batch_size
+    def on_candidate_changed(self, candidate: EvictionCandidate) -> None:
+        key = candidate.sort_key
+        efficiency = candidate.flop_efficiency
+        i = bisect_left(self._recency_keys, key)
+        self._recency_keys.insert(i, key)
+        self._recency.insert(i, candidate)
+        self._recency_efficiencies.insert(i, efficiency)
+        insort(self._efficiencies, efficiency)
+
+    def on_candidate_removed(self, candidate: EvictionCandidate) -> None:
+        i = bisect_left(self._recency_keys, candidate.sort_key)
+        del self._recency_keys[i]
+        del self._recency[i]
+        del self._recency_efficiencies[i]
+        efficiencies = self._efficiencies
+        del efficiencies[bisect_left(efficiencies, candidate.flop_efficiency)]
 
     def select_from_index(self, index: "EvictionIndex") -> EvictionCandidate:
-        """Pick the next victim, renormalizing once per ``batch_size`` victims.
+        """Pick :meth:`select_victim`'s victim by walking the staircase.
 
-        With ``batch_size = 1`` the order is rebuilt whenever the index's
-        epoch has advanced — i.e. before every victim under eviction
-        pressure — reproducing the seed semantics exactly.  With a larger
-        batch, up to K victims are drained from one scored pass; entries
-        invalidated by intervening structure changes are skipped via the
-        index identity check, so a stale order can delay but never corrupt
-        a decision.
+        Walks the candidates in ``sort_key`` order and scores only those
+        whose efficiency is strictly below every earlier candidate's (the
+        rest are dominated, see the class docstring), with the same
+        tie-averaged ranks and float expressions as :meth:`select_victim`:
+        the recency tie group is read off the sorted keys, the efficiency
+        rank is bisected from the sorted multiset.  In ``sort_key`` order a
+        later equal score never wins, so the first minimum stands.  The
+        walk stops once a staircase candidate's recency term plus the least
+        efficiency term reaches the best score, or once the running minimum
+        reaches the global minimum efficiency.  Efficiencies are finite
+        (FLOPs saved over positive freed bytes).
         """
-        if self.batch_size == 1:
-            # Renormalize-per-victim degenerates to one min() over the live
-            # candidate snapshot: the first element of the stable sort
-            # _rebuild_order would have produced (sort_key makes the order
-            # total, so min and sort agree), without building the order.
-            return self.select_victim(index.candidates())
-        while True:
-            if (
-                self._order_epoch is None
-                or self._order_budget <= 0
-                or not self._order
-            ):
-                self._rebuild_order(index)
-            while self._order:
-                candidate = self._order.popleft()
-                if index.get(candidate.node.node_id) is candidate:
-                    self._order_budget -= 1
-                    return candidate
-            # Scored order fully drained by stale entries; renormalize.
-
-    def reset(self) -> None:
-        self._order.clear()
-        self._order_epoch = None
-        self._order_budget = 0
+        n = len(index)  # settles pending index changes into the mirrors
+        keys = self._recency_keys
+        if n != len(keys):
+            raise RuntimeError("policy is not bound to this eviction index")
+        if n == 0:
+            raise ValueError("no eviction candidates")
+        self.candidates_offered += n
+        efficiencies = self._efficiencies
+        floor = efficiencies[0]
+        alpha = self.alpha
+        # Every efficiency rank is at least 1/n, so every score from here on
+        # is at least the recency term plus this.
+        least_term = alpha * (1.0 / n)
+        best_k = 0
+        best_score = math.inf
+        running_min = math.inf
+        scored = 0
+        for k, fe in enumerate(self._recency_efficiencies):
+            if fe >= running_min:
+                continue  # dominated by an earlier candidate
+            running_min = fe
+            last_access = keys[k][0]
+            i = k
+            while i and keys[i - 1][0] == last_access:
+                i -= 1
+            j = k + 1
+            while j < n and keys[j][0] == last_access:
+                j += 1
+            # Tie group [i, j): the inclusive end select_victim uses is j - 1.
+            r = ((i + j - 1) / 2.0 + 1.0) / n
+            if r + least_term >= best_score:
+                break
+            lo = bisect_left(efficiencies, fe)
+            hi = bisect_right(efficiencies, fe, lo)
+            score = r + alpha * (((lo + hi - 1) / 2.0 + 1.0) / n)
+            scored += 1
+            if score < best_score:
+                best_k = k
+                best_score = score
+            if fe <= floor:
+                break
+        self.candidates_scored += scored
+        return self._recency[best_k]
 
 
 class GDSFEviction(_LazyHeapPolicy):
@@ -503,19 +537,6 @@ class RandomEviction(EvictionPolicy):
 
     def reset(self) -> None:
         self._rng = random.Random(self._seed)
-
-
-def _min_max_normalize(value: float, values: list[float]) -> float:
-    """Min-max normalize ``value`` against ``values``; 1.0 when degenerate.
-
-    A degenerate set (all equal) makes the term uninformative; returning a
-    constant leaves the ranking to the other term and the tie-break.
-    """
-    low = min(values)
-    high = max(values)
-    if high <= low:
-        return 1.0
-    return (value - low) / (high - low)
 
 
 def _rank_normalize(values: list[float]) -> list[float]:

@@ -23,8 +23,10 @@ Cached per-candidate values (``freeable_bytes``, ``flop_efficiency``, the
 precomputed ``sort_key``) are invalidated by *rebuilding the candidate
 object*, so policies can use object identity as a staleness check.  A
 monotonically increasing ``epoch`` stamps every change to the candidate
-set; the FLOP-aware policy reuses its rank-normalized eviction order for as
-long as the epoch stands still.
+set.  Policies that mirror the set subscribe to its change feed:
+``on_candidate_changed`` for every added or rebuilt candidate and
+``on_candidate_removed`` for every candidate that leaves the set or is
+superseded by a rebuilt one.
 
 ``node_visits`` counts candidacy evaluations — the index-side analogue of
 the seed's per-eviction full-tree node visits — so the microbenchmark can
@@ -79,7 +81,9 @@ class EvictionIndex(TreeObserver):
         self._snapshot: Optional[list[EvictionCandidate]] = None
         self._epoch = 0
         self._node_visits = 0
+        # Change feed for policies that mirror the set (see bind_index).
         self.on_candidate_changed: Optional[Callable[[EvictionCandidate], None]] = None
+        self.on_candidate_removed: Optional[Callable[[EvictionCandidate], None]] = None
         tree.add_observer(self)
         self.rebuild()
 
@@ -124,20 +128,52 @@ class EvictionIndex(TreeObserver):
     # Maintenance
     # ------------------------------------------------------------------
     def rebuild(self) -> None:
-        """Re-seed the candidate set with one full tree scan."""
+        """Re-seed the candidate set with one full tree scan.
+
+        Every current candidate is reported removed first, so a subscribed
+        policy's mirror empties before the rescan re-adds the survivors.
+        """
+        self._clear()
+        dirty = self._dirty = {}
+        for node in self._tree.iter_nodes():
+            dirty[node.node_id] = node
+        self._flush()
+
+    def detach(self) -> None:
+        """Stop observing the tree and report every candidate removed.
+
+        Called when the owning cache adopts another tree; a detached index
+        is never read again.
+        """
+        self._tree.remove_observer(self)
+        self._clear()
+        self.on_candidate_changed = None
+        self.on_candidate_removed = None
+
+    def _clear(self) -> None:
+        """Empty the candidate set, reporting every candidate removed."""
+        on_removed = self.on_candidate_removed
+        if on_removed is not None:
+            for candidate in self._entries.values():
+                on_removed(candidate)
         self._entries.clear()
         self._eval_keys.clear()
-        self._dirty.clear()
-        self._bump()
-        for node in self._tree.iter_nodes():
-            self.refresh(node)
+        self._epoch += 1
+        self._snapshot = None
+
+    def refresh(self, node: RadixNode) -> None:
+        """Re-evaluate one node's candidacy and cached values now."""
+        self._dirty[node.node_id] = node
+        self._flush()
 
     def _flush(self) -> None:
         """Re-evaluate every dirty node once, in mark order.
 
-        The loop body is :meth:`refresh` inlined with the per-call lookups
-        hoisted — this runs a handful of times per eviction, which makes it
-        the hottest code in the eviction pipeline.
+        Per-call lookups are hoisted — this runs a handful of times per
+        eviction, which makes it the hottest code in the eviction pipeline.
+        A candidate leaving the set, or superseded by a rebuilt one, is
+        reported to ``on_candidate_removed`` before any replacement is
+        reported to ``on_candidate_changed``.
         """
         dirty = self._dirty
         self._dirty = {}
@@ -145,23 +181,26 @@ class EvictionIndex(TreeObserver):
         eval_keys = self._eval_keys
         freeable_fn = self._freeable_fn
         efficiency_fn = self._efficiency_fn
+        on_changed = self.on_candidate_changed
+        on_removed = self.on_candidate_removed
         visits = 0
         for node in dirty.values():
             visits += 1
             node_id = node.node_id
             children = node.children
-            if node.parent is None or node.pin_count > 0 or len(children) > 1:
-                if entries.pop(node_id, None) is not None:
-                    del eval_keys[node_id]
-                    self._epoch += 1
-                    self._snapshot = None
-                continue
-            freeable = freeable_fn(node)
+            parent = node.parent
+            if parent is None or node.pin_count > 0 or len(children) > 1:
+                freeable = 0
+            else:
+                freeable = freeable_fn(node)
             if freeable <= 0:
-                if entries.pop(node_id, None) is not None:
+                old = entries.pop(node_id, None)
+                if old is not None:
                     del eval_keys[node_id]
                     self._epoch += 1
                     self._snapshot = None
+                    if on_removed is not None:
+                        on_removed(old)
                 continue
             last_access = node.last_access
             eval_key = (
@@ -169,7 +208,7 @@ class EvictionIndex(TreeObserver):
                 last_access,
                 not children,
                 node.seq_len,
-                node.parent.seq_len,
+                parent.seq_len,
             )
             if eval_keys.get(node_id) == eval_key:
                 continue
@@ -180,61 +219,16 @@ class EvictionIndex(TreeObserver):
                 last_access=last_access,
                 is_leaf=not children,
             )
+            old = entries.get(node_id)
             entries[node_id] = candidate
             eval_keys[node_id] = eval_key
             self._epoch += 1
             self._snapshot = None
-            if self.on_candidate_changed is not None:
-                self.on_candidate_changed(candidate)
+            if old is not None and on_removed is not None:
+                on_removed(old)
+            if on_changed is not None:
+                on_changed(candidate)
         self._node_visits += visits
-
-    def refresh(self, node: RadixNode) -> None:
-        """Re-evaluate one node's candidacy and cached values (eager)."""
-        self._node_visits += 1
-        node_id = node.node_id
-        # Inlined node.is_eviction_shaped; a detached node (parent None)
-        # is dropped by the same guard.
-        children = node.children
-        if node.parent is None or node.pin_count > 0 or len(children) > 1:
-            self._drop(node_id)
-            return
-        freeable = self._freeable_fn(node)
-        if freeable <= 0:
-            self._drop(node_id)
-            return
-        eval_key = (
-            freeable,
-            node.last_access,
-            not children,  # is_leaf
-            node.seq_len,
-            node.parent.seq_len,
-        )
-        if self._eval_keys.get(node_id) == eval_key:
-            return  # nothing the candidate caches has changed
-        candidate = EvictionCandidate(
-            node=node,
-            freeable_bytes=freeable,
-            flop_efficiency=self._efficiency_fn(node, freeable),
-            last_access=node.last_access,
-            is_leaf=not children,
-        )
-        self._entries[node_id] = candidate
-        self._eval_keys[node_id] = eval_key
-        self._bump()
-        if self.on_candidate_changed is not None:
-            self.on_candidate_changed(candidate)
-
-    def _drop(self, node_id: int) -> None:
-        if self._entries.pop(node_id, None) is not None:
-            del self._eval_keys[node_id]
-            self._bump()
-
-    def _bump(self) -> None:
-        self._epoch += 1
-        self._snapshot = None
-
-    def _mark(self, node: RadixNode) -> None:
-        self._dirty[node.node_id] = node
 
     # ------------------------------------------------------------------
     # TreeObserver callbacks — O(1) dirty marks, settled at the next read

@@ -73,15 +73,6 @@ class TestFlopAware:
         with pytest.raises(ValueError):
             FlopAwareEviction(alpha=-1.0)
 
-    def test_rejects_unknown_normalization(self):
-        with pytest.raises(ValueError):
-            FlopAwareEviction(alpha=1.0, normalization="bogus")
-
-    def test_minmax_mode_works(self):
-        cands = [candidate(1.0, 10.0), candidate(2.0, 20.0)]
-        policy = FlopAwareEviction(alpha=0.0, normalization="minmax")
-        assert policy.select_victim(cands).last_access == 1.0
-
     def test_scores_are_bounded(self):
         cands = [candidate(float(i), float(i * 7 % 5)) for i in range(10)]
         policy = FlopAwareEviction(alpha=1.0)

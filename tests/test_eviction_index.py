@@ -1,5 +1,7 @@
 """Unit tests for the tree observer surface and the incremental eviction index."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from repro.core.cache import MarconiCache
 from repro.core.eviction import FlopAwareEviction, LRUEviction
 from repro.core.eviction_index import EvictionIndex
 from repro.core.radix_tree import RadixTree, TreeObserver
+from repro.engine.kernel import KernelConfig, SimulationKernel
 from repro.models.memory import model_recurrent_bytes, node_state_bytes
-from repro.models.presets import tiny_test_model
+from repro.models.presets import hybrid_7b, tiny_test_model
+from repro.workloads.registry import generate_trace
 
 
 def arr(*tokens):
@@ -184,63 +188,108 @@ class TestEvictionIndexMaintenance:
         assert index.node_visits > before
 
 
-class TestHeapSelectorIdentity:
-    """Heap-backed selection must equal the seed's min() over candidates."""
+def assert_mirrors_current(policy, index):
+    """The FLOP-aware policy's maintained orders equal a fresh sort of the
+    index's candidates, so a missed change or removal notification fails."""
+    if not isinstance(policy, FlopAwareEviction):
+        return
+    fresh = sorted(index.candidates(), key=lambda c: c.sort_key)
+    assert len(policy._recency) == len(fresh)
+    assert all(kept is current for kept, current in zip(policy._recency, fresh))
+    assert policy._recency_keys == [c.sort_key for c in fresh]
+    assert policy._recency_efficiencies == [c.flop_efficiency for c in fresh]
+    assert policy._efficiencies == sorted(c.flop_efficiency for c in fresh)
 
-    @pytest.mark.parametrize("eviction", ["lru", "gdsf", "gds", "lfu", "lru_k"])
-    def test_select_from_index_matches_select_victim(self, eviction, tokens):
+
+IDENTITY_CASES = [
+    *((name, 1.0) for name in ("lru", "gdsf", "gds", "lfu", "lru_k")),
+    *(("flop_aware", alpha) for alpha in (0.0, 1.0, 8.0)),
+]
+IDENTITY_IDS = [
+    *("lru", "gdsf", "gds", "lfu", "lru_k"),
+    *("flop_aware-0", "flop_aware-1", "flop_aware-8"),
+]
+
+
+class TestHeapSelectorIdentity:
+    """Index-backed selection must equal the seed's min() over candidates."""
+
+    @pytest.mark.parametrize(("eviction", "alpha"), IDENTITY_CASES, ids=IDENTITY_IDS)
+    def test_select_from_index_matches_select_victim(self, eviction, alpha, tokens):
         model = tiny_test_model()
+        # Room for about six entries: the later phases run under eviction.
+        capacity = 6 * node_state_bytes(model, 11, True)
         cache = MarconiCache(
-            model, capacity_bytes=int(1e9), eviction=eviction, alpha=1.0
+            model, capacity_bytes=capacity, eviction=eviction, alpha=alpha
         )
-        rng = np.random.default_rng(7)
+
+        def check():
+            index = cache.eviction_index
+            assert_mirrors_current(cache.policy, index)
+            if index.candidates():
+                chosen = cache.policy.select_from_index(index)
+                reference = cache.policy.select_victim(index.candidates())
+                assert chosen is reference
+
+        def serve(seq, now, tail_seed):
+            r = cache.lookup(seq, now)
+            check()
+            cache.admit(
+                np.concatenate([seq, tokens(3, seed=tail_seed)]),
+                now + 0.5,
+                handle=r.handle,
+            )
+            check()
+
         for i in range(12):
             if i % 3 and i > 0:
                 base = tokens(8, seed=100 + i - 1)
                 seq = np.concatenate([base[:4], tokens(6, seed=200 + i)])
             else:
                 seq = tokens(8, seed=100 + i)
-            r = cache.lookup(seq, float(i))
-            cache.admit(
-                np.concatenate([seq, tokens(3, seed=300 + i)]),
-                float(i) + 0.5,
-                handle=r.handle,
-            )
-            index = cache.eviction_index
-            if index.candidates():
-                chosen = cache.policy.select_from_index(index)
-                reference = cache.policy.select_victim(index.candidates())
-                assert chosen is reference
+            serve(seq, float(i), 300 + i)
+        # Same-timestamp ties: every round of this burst shares one clock.
+        shared = tokens(5, seed=400)
+        for i in range(8):
+            serve(np.concatenate([shared, tokens(4, seed=410 + i)]), 20.0, 420 + i)
+        if eviction == "flop_aware":
+            cache.set_alpha(alpha + 3.0)
+            check()
+        cache.eviction_index.rebuild()
+        check()
+        evictions = cache.stats.evictions
+
+        # Tree reassignment: adopt another cache's tree, then run on it.
+        source = MarconiCache(model, capacity_bytes=int(1e9), alpha=1.0)
+        for i in range(5):
+            seq = tokens(9, seed=500 + i)
+            r = source.lookup(seq, 30.0 + i)
+            source.admit(np.concatenate([seq, tokens(2, seed=510 + i)]), 30.5 + i, handle=r.handle)
+        cache.tree = source.tree.clone()
+        cache._used = cache.recompute_used_bytes()
+        check()
+        for i in range(6):
+            serve(tokens(10, seed=600 + i), 40.0 + i, 610 + i)
+        evictions += cache.stats.evictions
+
+        cache.reset()
+        check()
+        for i in range(8):
+            serve(tokens(10, seed=700 + i), 50.0 + i // 2, 710 + i)
+        evictions += cache.stats.evictions
+        assert evictions > 0
+        assert cache.used_bytes == cache.recompute_used_bytes()
 
     def test_empty_index_raises(self):
         model = tiny_test_model()
-        cache = MarconiCache(model, capacity_bytes=int(1e9), eviction="lru")
-        with pytest.raises(ValueError):
-            cache.policy.select_from_index(cache.eviction_index)
-
-
-class TestBatchEviction:
-    def test_batch_mode_preserves_invariants_under_pressure(self, tokens):
-        model = tiny_test_model()
-        per_seq = node_state_bytes(model, 450, True)
-        for k in (1, 3, 16):
+        for eviction in ("lru", "flop_aware"):
             cache = MarconiCache(
-                model, capacity_bytes=3 * per_seq, alpha=1.0, batch_evictions=k
+                model, capacity_bytes=int(1e9), eviction=eviction, alpha=1.0
             )
-            for i in range(8):
-                seq = tokens(400, seed=4000 + i)
-                r = cache.lookup(seq, float(i))
-                cache.admit(
-                    np.concatenate([seq, tokens(50, seed=5000 + i)]),
-                    float(i) + 0.5,
-                    handle=r.handle,
-                )
-            assert cache.stats.evictions > 0
-            assert cache.used_bytes <= cache.capacity_bytes
-            assert cache.used_bytes == cache.recompute_used_bytes()
-            cache.tree.check_integrity()
+            with pytest.raises(ValueError):
+                cache.policy.select_from_index(cache.eviction_index)
 
-    def test_batch_size_one_is_seed_identical(self, tokens):
+    def test_index_mode_matches_full_rescan(self, tokens):
         model = tiny_test_model()
         per_seq = node_state_bytes(model, 450, True)
         a = MarconiCache(model, capacity_bytes=3 * per_seq, alpha=1.0)
@@ -254,13 +303,59 @@ class TestBatchEviction:
             full = np.concatenate([seq, tokens(50, seed=7000 + i)])
             a.admit(full, float(i) + 0.5, handle=ra.handle)
             b.admit(full, float(i) + 0.5, handle=rb.handle)
+        assert a.stats.evictions > 0
         assert a.stats.snapshot() == b.stats.snapshot()
 
-    def test_rejects_bad_batch_size(self):
-        with pytest.raises(ValueError):
-            FlopAwareEviction(alpha=1.0, batch_size=0)
-        with pytest.raises(ValueError):
-            MarconiCache(tiny_test_model(), capacity_bytes=1024, batch_evictions=0)
+
+class TestStaircaseSelection:
+    def test_matches_select_victim_on_random_tied_sets(self):
+        """Leaves under the root with access times and efficiencies drawn
+        from small sets, so both terms tie often, mutated at random: the
+        staircase walk picks select_victim's victim at every step."""
+        rng = random.Random(5)
+        tree = RadixTree()
+        # Each (re-)evaluation draws a fresh efficiency level.
+        index = EvictionIndex(
+            tree, lambda node: 10, lambda node, b: rng.choice((1.0, 2.0, 3.0, 5.0))
+        )
+        policy = FlopAwareEviction(alpha=1.0)
+        policy.bind_index(index)
+        leaves = []
+        for step in range(400):
+            op = rng.random()
+            if op < 0.4 or len(leaves) < 2:
+                out = tree.insert(arr(step + 1, 7), now=float(rng.randrange(6)))
+                leaves.append(out.end_node)
+            elif op < 0.8:
+                tree.refresh_access(rng.choice(leaves), float(rng.randrange(6)))
+            elif op < 0.9:
+                leaf = leaves.pop(rng.randrange(len(leaves)))
+                tree.remove_leaf(leaf)
+            else:
+                leaf = rng.choice(leaves)
+                tree.pin_path(leaf)
+                assert_mirrors_current(policy, index)
+                tree.unpin_path(leaf)
+            assert_mirrors_current(policy, index)
+            for alpha in (0.0, 0.5, 1.0, 8.0):
+                policy.alpha = alpha
+                expected = policy.select_victim(index.candidates())
+                assert policy.select_from_index(index) is expected
+
+    def test_scores_at_most_half_the_candidates_on_swebench(self):
+        """FLOP-aware selection scores only the recency/efficiency
+        staircase, not every candidate.  A deterministic work count, so a
+        regression to full rescoring fails on any host."""
+        model = hybrid_7b()
+        trace = generate_trace(
+            "swebench", n_sessions=100, session_rate=0.5, mean_think_s=7.5, seed=1
+        )
+        cache = MarconiCache(model, 40 * 10**9, eviction="flop_aware", alpha=1.0)
+        SimulationKernel(model, [cache], config=KernelConfig(max_running=4)).run(trace)
+        policy = cache.policy
+        assert cache.stats.evictions > 1000  # one selection per eviction
+        assert policy.candidates_offered > cache.stats.evictions
+        assert 0 < policy.candidates_scored <= 0.5 * policy.candidates_offered
 
 
 class TestTreeReattachment:
