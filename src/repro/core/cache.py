@@ -631,7 +631,7 @@ class MarconiCache(PrefixCache):
         inline_apply = type(self)._apply_eviction is MarconiCache._apply_eviction
         while capacity - self._used < needed_bytes:
             if index is not None:
-                if not index.candidates():
+                if not len(index):
                     return False
                 victim = policy.select_from_index(index)
             else:
